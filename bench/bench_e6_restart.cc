@@ -24,10 +24,6 @@ namespace bench {
 // through the FileDisk durability path (double-write repair, CRC
 // verification) instead of the in-memory page map.
 bool g_disk_file = false;
-// Redo threads for the restart between crash and resume (--redo-threads=N);
-// with --disk=file the restart is a real log replay, so 1 vs N measures
-// the partitioned redo on the E6 workload.
-size_t g_redo_threads = 1;
 
 namespace {
 
@@ -64,7 +60,6 @@ void RunOne(const char* algo, size_t ckpt_interval, const char* phase,
   Options options = DefaultBenchOptions();
   options.sort_checkpoint_every_keys = ckpt_interval;
   options.ib_checkpoint_every_keys = ckpt_interval;
-  options.recovery_threads = g_redo_threads;
   World w = MakeBenchWorld(kRows, options);
 
   FailPointRegistry::Instance().Reset();
@@ -141,7 +136,6 @@ void RunOne(const char* algo, size_t ckpt_interval, const char* phase,
                  {{"ckpt_interval", static_cast<double>(ckpt_interval)},
                   {"first_ms", first_ms},
                   {"restart_ms", restart_ms},
-                  {"redo_threads", static_cast<double>(rstats.redo_threads)},
                   {"records_redone",
                    static_cast<double>(rstats.records_redone)},
                   {"resume_ms", resume_ms},
@@ -192,14 +186,9 @@ int main(int argc, char** argv) {
       oib::bench::g_disk_file = true;
     } else if (std::strcmp(argv[i], "--disk=memory") == 0) {
       oib::bench::g_disk_file = false;
-    } else if (std::strncmp(argv[i], "--redo-threads=", 15) == 0) {
-      oib::bench::g_redo_threads =
-          static_cast<size_t>(std::strtoull(argv[i] + 15, nullptr, 10));
-      if (oib::bench::g_redo_threads == 0) oib::bench::g_redo_threads = 1;
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--disk=file|memory] [--redo-threads=N]\n",
-                   argv[0]);
+                   "usage: %s [--disk=file|memory]\n", argv[0]);
       return 2;
     }
   }

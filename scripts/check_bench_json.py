@@ -45,8 +45,7 @@ REQUIRED_ROW_KEYS = {
     "e8": [],
     "e9": ["threads", "build_ms", "ops_per_sec_during_build",
            "update_p99_us", "commits", "failpoint_overhead_pct"],
-    "e11": ["rows", "redo_threads", "restart_ms", "records_redone",
-            "speedup_vs_serial"],
+    "e11": ["rows", "wal_mib", "restart_ms", "records_redone"],
     "a1": [],
     "micro": ["ns_per_op", "lookups"],
 }

@@ -355,9 +355,6 @@ class BtreeRm : public ResourceManager {
   RmId rm_id() const override { return RmId::kBtree; }
   Status Redo(const LogRecord& rec) override;
   Status Undo(Transaction* txn, const LogRecord& rec) override;
-  // kSplit touches {new page, split page, parent}; kNewRoot touches
-  // {new root, anchor}.  Everything else is single-page.
-  void RedoPageSet(const LogRecord& rec, std::vector<PageId>* out) override;
 
  private:
   BufferPool* pool_;

@@ -55,6 +55,8 @@ const char* FailPointActionName(FailPointAction a) {
       return "delay";
     case FailPointAction::kAbort:
       return "abort";
+    case FailPointAction::kPark:
+      return "park";
   }
   return "unknown";
 }
@@ -84,8 +86,30 @@ void FailPoint::Disarm() {
   {
     sync::MutexLock g(&mu_);
     was_armed = armed_.exchange(false, std::memory_order_relaxed);
+    ++release_gen_;
   }
+  park_cv_.NotifyAll();
   if (was_armed) FailPointRegistry::Instance().armed_points_.fetch_sub(1);
+}
+
+void FailPoint::Park() {
+  sync::MutexLock g(&mu_);
+  const uint64_t gen = release_gen_;
+  ++parked_;
+  park_cv_.NotifyAll();
+  while (release_gen_ == gen) park_cv_.Wait(mu_);
+  --parked_;
+}
+
+bool FailPoint::WaitParked(std::chrono::milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  sync::MutexLock g(&mu_);
+  while (parked_ == 0) {
+    if (park_cv_.WaitUntil(mu_, deadline) == std::cv_status::timeout) {
+      return parked_ > 0;
+    }
+  }
+  return true;
 }
 
 void FailPoint::ResetCounts() { fired_.store(0, std::memory_order_relaxed); }
@@ -117,6 +141,10 @@ FailPointHit FailPoint::Evaluate() {
   if (hit.action == FailPointAction::kAbort) HardAbort(name_);
   if (hit.action == FailPointAction::kDelay) {
     std::this_thread::sleep_for(std::chrono::microseconds(hit.arg));
+  }
+  if (hit.action == FailPointAction::kPark) {
+    Park();
+    hit.action = FailPointAction::kOff;  // released: the site continues
   }
   return hit;
 }
@@ -160,6 +188,11 @@ void FailPointRegistry::Arm(const std::string& name, int countdown) {
 
 void FailPointRegistry::Disarm(const std::string& name) {
   GetOrCreate(name)->Disarm();
+}
+
+bool FailPointRegistry::WaitParked(const std::string& name,
+                                   std::chrono::milliseconds timeout) {
+  return GetOrCreate(name)->WaitParked(timeout);
 }
 
 void FailPointRegistry::Reset() {

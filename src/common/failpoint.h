@@ -17,6 +17,9 @@
 //                                continues (armed stays on)
 //                  kAbort        the process SIGKILLs itself — the crash
 //                                harness's kill switch
+//                  kPark         the site blocks until the point is
+//                                disarmed: a test rendezvous that holds a
+//                                thread at a named site (WaitParked)
 //   countdown    number of evaluations to skip before the point can fire
 //   probability  chance each subsequent evaluation fires (seeded
 //                per-point RNG, so a given seed is byte-reproducible)
@@ -33,6 +36,7 @@
 #define OIB_COMMON_FAILPOINT_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -56,6 +60,7 @@ enum class FailPointAction : uint8_t {
   kTornWrite,
   kDelay,
   kAbort,
+  kPark,
 };
 
 const char* FailPointActionName(FailPointAction a);
@@ -110,6 +115,9 @@ class FailPoint {
   void SetPolicy(const FailPointPolicy& policy, uint64_t seed);
   void Disarm();
   void ResetCounts();
+  // kPark: blocks the calling thread until the next Disarm().
+  void Park();
+  bool WaitParked(std::chrono::milliseconds timeout);
 
   const std::string name_;
   std::atomic<bool> armed_{false};
@@ -118,6 +126,11 @@ class FailPoint {
   FailPointPolicy policy_ OIB_GUARDED_BY(mu_);
   int fires_left_ OIB_GUARDED_BY(mu_) = 0;  // -1 = unlimited
   uint64_t rng_ OIB_GUARDED_BY(mu_) = 0;
+  // kPark rendezvous: threads parked here, released when Disarm() bumps
+  // the generation.
+  int parked_ OIB_GUARDED_BY(mu_) = 0;
+  uint64_t release_gen_ OIB_GUARDED_BY(mu_) = 0;
+  sync::CondVar park_cv_;
 };
 
 class FailPointRegistry {
@@ -138,8 +151,13 @@ class FailPointRegistry {
   // very next evaluation triggers.
   void Arm(const std::string& name, int countdown = 0);
 
-  // Disarms `name` (no-op if not armed).
+  // Disarms `name` (no-op if not armed) and releases any thread parked
+  // at it.
   void Disarm(const std::string& name);
+
+  // Blocks until a thread is parked at `name` (armed with kPark) or
+  // `timeout` passes; returns whether one is parked.
+  bool WaitParked(const std::string& name, std::chrono::milliseconds timeout);
 
   // Disarms everything and zeroes fire counters (used between tests).
   // Registered points stay alive — site statics keep pointing at them.

@@ -31,17 +31,11 @@ Status ValidateOptions(const Options& options) {
   if (options.ib_keys_per_call == 0) return bad("ib_keys_per_call must be > 0");
   if (options.sf_apply_batch == 0) return bad("sf_apply_batch must be > 0");
   if (options.build_threads == 0) return bad("build_threads must be >= 1");
-  if (options.recovery_threads == 0) {
-    return bad("recovery_threads must be >= 1");
-  }
   if (options.hash_index_shards != 0 &&
       !power_of_two(options.hash_index_shards)) {
     return bad("hash_index_shards must be 0 (auto) or a power of two");
   }
   if (options.merge_batch_keys == 0) return bad("merge_batch_keys must be > 0");
-  if (options.merge_queue_depth == 0) {
-    return bad("merge_queue_depth must be >= 1");
-  }
   return Status::OK();
 }
 

@@ -31,15 +31,6 @@ struct Options {
   // at the 1 MiB default).
   size_t wal_ring_bytes = 1 << 20;
 
-  // --- recovery ---
-  // Worker threads for the restart redo phase.  1 replays the log on the
-  // calling thread (analysis and redo share one forward pass); N > 1
-  // first collects redo work during analysis, then partitions it by
-  // page id across N workers — per-page LSN order is preserved because a
-  // page's records all land in the same partition, and multi-page records
-  // (B+-tree splits, root growth) act as barriers applied serially.
-  size_t recovery_threads = 1;
-
   // --- fault injection ---
   // Failpoint spec applied at Engine::Open/Restart (see
   // FailPointRegistry::ConfigureFromSpec for the grammar); empty = none.
@@ -72,8 +63,6 @@ struct Options {
   // Keys per IB progress checkpoint ("periodically checkpoint the highest
   // key", sections 2.2.3 / 3.2.4); 0 disables IB checkpoints.
   size_t ib_checkpoint_every_keys = 100000;
-  // Pages read per simulated sequential-prefetch I/O (section 2.2.2).
-  size_t ib_prefetch_pages = 32;
   // Sort-phase checkpoint interval, in extracted keys (section 5.1);
   // 0 disables sort checkpoints.
   size_t sort_checkpoint_every_keys = 100000;
@@ -93,9 +82,6 @@ struct Options {
   // Sorted items handed from the final merge to the consumer (bulk loader
   // / IbInsertBatch) per batch; also the consumer's checkpoint grain.
   size_t merge_batch_keys = 1024;
-  // Bounded merge->consumer queue depth when the merge runs on its own
-  // thread (build_threads > 1).  2 = classic double buffering.
-  size_t merge_queue_depth = 2;
 
   // --- hash fast path ---
   // Maintains a sharded hash table over <normalized key -> RID> next to

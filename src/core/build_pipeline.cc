@@ -18,6 +18,10 @@ namespace oib {
 
 namespace {
 
+// Batches the overlapped merge may run ahead of the consumer: classic
+// double buffering.
+constexpr size_t kMergeQueueDepth = 2;
+
 double MsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - t0)
@@ -241,9 +245,8 @@ Status BuildPipeline::RunScan(const HeapFile* heap, obs::Tracer* tracer,
 }
 
 Status BuildPipeline::MergeToConsumer(
-    MergeCursor* cursor, size_t batch_keys, size_t queue_depth,
-    bool overlapped, const std::function<Status(const Batch&)>& consume,
-    MergeStats* stats) {
+    MergeCursor* cursor, size_t batch_keys, bool overlapped,
+    const std::function<Status(const Batch&)>& consume, MergeStats* stats) {
   if (batch_keys == 0) batch_keys = 1;
   MergeStats local;
 
@@ -272,7 +275,7 @@ Status BuildPipeline::MergeToConsumer(
   };
 
   Status status;
-  if (!overlapped || queue_depth == 0) {
+  if (!overlapped) {
     for (;;) {
       Batch b;
       auto more = fill(&b);
@@ -318,7 +321,9 @@ Status BuildPipeline::MergeToConsumer(
           return;
         }
         const bool last = b.items.size() < batch_keys;
-        can_push.Wait(mu, [&] { return queue.size() < queue_depth || abort; });
+        can_push.Wait(mu, [&] {
+          return queue.size() < kMergeQueueDepth || abort;
+        });
         if (abort) return;
         queue.push_back(std::move(b));
         depth_gauge->Set(static_cast<int64_t>(queue.size()));

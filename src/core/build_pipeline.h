@@ -131,13 +131,13 @@ class BuildPipeline {
 
   // Streams `cursor` into `consume` in batches of `batch_keys` items.
   // When `overlapped`, the merge runs on a producer thread behind a
-  // bounded queue of `queue_depth` batches (gauge
+  // double-buffered queue of two batches (gauge
   // "build.merge_queue_depth"); `consume` always runs on the calling
   // thread.  The first non-OK status from either side stops the pipeline
   // and is returned.
   static Status MergeToConsumer(
-      MergeCursor* cursor, size_t batch_keys, size_t queue_depth,
-      bool overlapped, const std::function<Status(const Batch&)>& consume,
+      MergeCursor* cursor, size_t batch_keys, bool overlapped,
+      const std::function<Status(const Batch&)>& consume,
       MergeStats* stats = nullptr);
 };
 

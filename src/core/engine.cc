@@ -117,8 +117,7 @@ StatusOr<std::unique_ptr<Engine>> Engine::Restart(const Options& options,
     }
   }
 
-  RecoveryManager recovery(&env->log, &engine->txns_, &engine->rms_,
-                           options.recovery_threads);
+  RecoveryManager recovery(&env->log, &engine->txns_, &engine->rms_);
   std::vector<std::pair<TxnId, Lsn>> losers;
   {
     obs::ScopedSpan span(&obs::Tracer::Default(), "recovery.analysis_redo");

@@ -364,8 +364,8 @@ Status NsfIndexBuilder::Run(const BuildParams& params, IndexId index_id,
   BuildPipeline::MergeStats merge_stats;
   {
     Status s = BuildPipeline::MergeToConsumer(
-        cursor->get(), options.merge_batch_keys, options.merge_queue_depth,
-        options.build_threads > 1, consume, &merge_stats);
+        cursor->get(), options.merge_batch_keys, options.build_threads > 1,
+        consume, &merge_stats);
     if (s.ok()) s = flush_batch();
     if (!s.ok()) {
       if (s.IsInjected()) return s;  // crash-test hook: leave state as-is

@@ -467,8 +467,8 @@ Status SfIndexBuilder::Run(TableId table, std::vector<IndexId> ids,
       };
       BuildPipeline::MergeStats merge_stats;
       Status s = BuildPipeline::MergeToConsumer(
-          cursor.get(), options.merge_batch_keys, options.merge_queue_depth,
-          options.build_threads > 1, consume, &merge_stats);
+          cursor.get(), options.merge_batch_keys, options.build_threads > 1,
+          consume, &merge_stats);
       if (!s.ok()) {
         if (s.IsInjected()) return s;  // crash-test hook: leave state as-is
         // Rollback latches pages and takes txn-level mutexes; the
@@ -520,10 +520,10 @@ Status SfIndexBuilder::Run(TableId table, std::vector<IndexId> ids,
   uint32_t applying_idx = 0;
   PageId cur_page = kInvalidPageId;
   SlotId cur_slot = 0;
-  uint64_t ordinal = 0, applied = 0;
+  uint64_t resume_ordinal = 0, applied = 0;
   OIB_RETURN_IF_ERROR(DecodeSfApplyState(
       start_phase == 3 ? phase_blob : meta.phase_blob, &applying_idx,
-      &cur_page, &cur_slot, &ordinal, &applied));
+      &cur_page, &cur_slot, &resume_ordinal, &applied));
 
   // Re-load fences (restart may have added some).
   {
@@ -561,16 +561,25 @@ Status SfIndexBuilder::Run(TableId table, std::vector<IndexId> ids,
     return s;
   };
 
+  // Per-index side-file position (cursor + ordinal of the next entry).
+  // The catch-up loop leaves each at its end of the walk and the final
+  // drain continues from there.  Indexes whose catch-up finished before a
+  // resume (idx < applying_idx) kept no position and replay from Begin();
+  // the apply is idempotent as an in-order replay.
+  std::vector<SideFile::Cursor> cursors(n);
+  std::vector<uint64_t> ordinals(n, 0);
+  for (uint32_t idx = 0; idx < n; ++idx) {
+    cursors[idx] = side_files[idx]->Begin();
+  }
+  if (cur_page != kInvalidPageId) {
+    cursors[applying_idx] = SideFile::Cursor{cur_page, cur_slot};
+    ordinals[applying_idx] = resume_ordinal;
+  }
+
   for (uint32_t idx = applying_idx; idx < n; ++idx) {
-    SideFile::Cursor cursor;
-    if (idx == applying_idx && cur_page != kInvalidPageId) {
-      cursor.page = cur_page;
-      cursor.slot = cur_slot;
-    } else {
-      cursor = side_files[idx]->Begin();
-      ordinal = 0;
-      applied = 0;
-    }
+    SideFile::Cursor& cursor = cursors[idx];
+    uint64_t& ordinal = ordinals[idx];
+    if (idx != applying_idx || cur_page == kInvalidPageId) applied = 0;
     if (options.sf_sort_side_file) {
       // Section 3.2.5 optimization: "IB could sort the entries of the
       // side-file, without modifying the relative positions of the
@@ -579,7 +588,7 @@ Status SfIndexBuilder::Run(TableId table, std::vector<IndexId> ids,
       // sequentially by the normal loop below.  This pass is not
       // checkpointed (a crash repeats it; the application is idempotent
       // only as a full in-order replay, so the whole batch re-runs).
-      std::vector<std::pair<uint64_t, SideFile::Entry>> batch;
+      std::vector<SideFile::Entry> batch;
       for (;;) {
         std::vector<SideFile::Entry> entries;
         auto got = side_files[idx]->ReadBatch(&cursor, 1024, &entries);
@@ -587,23 +596,21 @@ Status SfIndexBuilder::Run(TableId table, std::vector<IndexId> ids,
         if (*got == 0) break;
         for (SideFile::Entry& e : entries) {
           if (!FencedOut(meta.fences[idx], ordinal, e.rid)) {
-            batch.emplace_back(ordinal, std::move(e));
+            batch.push_back(std::move(e));
           } else {
             ++local.side_file_skipped_stale;
           }
           ++ordinal;
         }
       }
+      // Stable: equal <key, RID> entries keep their append order.
       std::stable_sort(batch.begin(), batch.end(),
-                       [](const auto& a, const auto& b) {
-                         int c = CompareKeySlice(a.second.key, b.second.key);
+                       [](const SideFile::Entry& a, const SideFile::Entry& b) {
+                         int c = CompareKeySlice(a.key, b.key);
                          if (c != 0) return c < 0;
-                         if (a.second.rid < b.second.rid) return true;
-                         if (b.second.rid < a.second.rid) return false;
-                         return false;  // stable keeps append order
+                         return a.rid < b.rid;
                        });
-      for (const auto& [ord, e] : batch) {
-        (void)ord;
+      for (const SideFile::Entry& e : batch) {
         Status s = apply_entry(idx, e);
         if (!s.ok()) return abort_build(s);
         ++applied;
@@ -642,10 +649,7 @@ Status SfIndexBuilder::Run(TableId table, std::vector<IndexId> ids,
         }
         ++ordinal;
         Status s = apply_entry(idx, e);
-        if (!s.ok()) {
-          if (s.IsUniqueViolation()) return abort_build(s);
-          return abort_build(s);
-        }
+        if (!s.ok()) return abort_build(s);
         ++applied;
         ++local.side_file_applied;
         build->side_file_applied.fetch_add(1, std::memory_order_relaxed);
@@ -691,40 +695,37 @@ Status SfIndexBuilder::Run(TableId table, std::vector<IndexId> ids,
     // starved forever by updaters re-acquiring the reader-preferring
     // rwlock (see ActiveBuild).
     sync::UniqueLock gate = build->CloseGate();
-    for (uint32_t idx = 0; idx < n; ++idx) {
-      // Residual entries appended since each index's catch-up loop ended.
-      // (Cheap: re-walk from the recorded cursor for the last index; for
-      // the others, from their own end positions we did not retain, so
-      // walk from the beginning and skip already-applied entries by
-      // ordinal.)
-      SideFile::Cursor cursor = side_files[idx]->Begin();
-      uint64_t ord = 0;
-      for (;;) {
-        std::vector<SideFile::Entry> entries;
-        auto got = side_files[idx]->ReadBatch(&cursor, 256, &entries);
-        if (!got.ok()) return got.status();
-        if (*got == 0) break;
-        for (const SideFile::Entry& e : entries) {
-          bool already_applied =
-              (idx == n - 1) ? (ord < ordinal) : false;
-          bool fenced = FencedOut(meta.fences[idx], ord, e.rid);
-          ++ord;
-          if (fenced) continue;
-          if (already_applied) continue;
-          if (idx != n - 1) {
-            // Re-apply idempotently: Insert tolerates duplicates and
-            // Delete tolerates absence.
+    OIB_FAIL_POINT("sf.drain");
+    // Residual entries appended since each index's catch-up loop ended:
+    // every index continues from its own cursor.
+    auto drain = [&]() -> Status {
+      for (uint32_t idx = 0; idx < n; ++idx) {
+        for (;;) {
+          std::vector<SideFile::Entry> entries;
+          auto got =
+              side_files[idx]->ReadBatch(&cursors[idx], 256, &entries);
+          if (!got.ok()) return got.status();
+          if (*got == 0) break;
+          for (const SideFile::Entry& e : entries) {
+            if (FencedOut(meta.fences[idx], ordinals[idx]++, e.rid)) {
+              ++local.side_file_skipped_stale;
+              continue;
+            }
+            OIB_RETURN_IF_ERROR(apply_entry(idx, e));
+            ++local.side_file_applied;
+            build->side_file_applied.fetch_add(1, std::memory_order_relaxed);
+            applied_counter->Inc();
           }
-          Status s = apply_entry(idx, e);
-          if (!s.ok()) {
-            if (s.IsUniqueViolation()) return abort_build(s);
-            return s;
-          }
-          ++local.side_file_applied;
-          build->side_file_applied.fetch_add(1, std::memory_order_relaxed);
-          applied_counter->Inc();
         }
       }
+      return Status::OK();
+    };
+    if (Status s = drain(); !s.ok()) {
+      // Open updaters hold table IX and may be waiting on the gate;
+      // Cancel needs table S, so the gate must open first.  index_build
+      // is still set, so updaters keep routing through the side-file.
+      gate.Release();
+      return abort_build(s);
     }
     // Commit edge: the residual applies must be durable *before* the
     // indexes are published.  SetIndexReady persists the catalog

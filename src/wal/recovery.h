@@ -7,15 +7,11 @@
 // the engine flushes all dirty pages, logs a Checkpoint record carrying the
 // active-transaction table, and stores that record's LSN in disk metadata.
 //
-// With redo_threads > 1 the pass splits in two: analysis collects the
-// redo work list, then workers replay it partitioned by page id.  All of
-// a page's records hash to the same partition, so per-page LSN order is
-// untouched; records whose redo spans pages (ResourceManager::
-// RedoPageSet returns > 1 — B+-tree splits and root growth) are barriers:
-// every partition finishes the records before them, the barrier record is
-// applied serially, and the partitions resume.  Page-LSN guards keep the
-// replay idempotent either way, so single- and multi-threaded redo
-// produce identical pages.
+// Redo is applied inline as the analysis scan reaches each record, in log
+// order, so there is no separate redo pass and no in-memory copy of the
+// log.  Every RM's redo is guarded by its page LSN, so replaying a record
+// whose effect is already on the page is a no-op and a crash during
+// recovery simply repeats the pass.
 //
 // This is the machinery the paper leans on when it argues that logging by
 // IB (NSF) or during side-file processing (SF) leaves the index
@@ -38,13 +34,9 @@ struct RecoveryStats {
   uint64_t records_scanned = 0;
   uint64_t records_redone = 0;
   uint64_t loser_txns = 0;
-  // Redo parallelism actually used and the serial barriers hit
-  // (multi-page records; see file comment).
-  size_t redo_threads = 1;
-  uint64_t redo_barriers = 0;
-  // Wall-clock: the analysis scan (which includes redo itself when
-  // redo_threads == 1, collection only otherwise), the partitioned
-  // replay (0 when serial), and loser rollback.
+  // Wall-clock of the analysis scan and of loser rollback.  Redo runs
+  // inside the analysis scan, so redo time is counted in analysis_ns and
+  // redo_ns stays 0 (kept so existing reports keep their shape).
   uint64_t analysis_ns = 0;
   uint64_t redo_ns = 0;
   uint64_t undo_ns = 0;
@@ -58,12 +50,8 @@ Status DecodeCheckpointPayload(const std::string& payload,
 
 class RecoveryManager {
  public:
-  RecoveryManager(LogManager* log, TransactionManager* txns, RmRegistry* rms,
-                  size_t redo_threads = 1)
-      : log_(log),
-        txns_(txns),
-        rms_(rms),
-        redo_threads_(redo_threads > 0 ? redo_threads : 1) {}
+  RecoveryManager(LogManager* log, TransactionManager* txns, RmRegistry* rms)
+      : log_(log), txns_(txns), rms_(rms) {}
 
   // Phase 1+2: analysis and redo in one forward pass.  `checkpoint_lsn` is
   // the LSN of the last sharp checkpoint record, or kInvalidLsn to scan the
@@ -79,14 +67,9 @@ class RecoveryManager {
                     RecoveryStats* stats = nullptr);
 
  private:
-  // Replays `recs` across redo_threads_ partitions (see file comment).
-  Status ApplyRedoPartitioned(const std::vector<LogRecord>& recs,
-                              RecoveryStats* stats);
-
   LogManager* log_;
   TransactionManager* txns_;
   RmRegistry* rms_;
-  size_t redo_threads_;
 };
 
 }  // namespace oib

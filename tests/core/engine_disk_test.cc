@@ -145,21 +145,6 @@ TEST_P(EngineOnDiskTest, SfBuildResumesAcrossCrash) {
   ExpectIndexConsistent(table, descs[0].id);
 }
 
-TEST_P(EngineOnDiskTest, ParallelRedoRecoversSameState) {
-  TableId table = MakeTable();
-  Populate(table, 400);
-  options_.recovery_threads = 4;
-  // No flush: restart replays the whole insert history partitioned
-  // across four workers.
-  ASSERT_OK(engine_->log()->FlushAll());
-  CrashAndRestart();
-  EXPECT_EQ(recovery_stats_.redo_threads, 4u);
-  EXPECT_EQ(CountRows(table), 400u);
-  // And a second cycle over the recovered state.
-  CrashAndRestart();
-  EXPECT_EQ(CountRows(table), 400u);
-}
-
 TEST_P(EngineOnDiskTest, DoubleCrashIsIdempotent) {
   TableId table = MakeTable();
   Populate(table, 250);

@@ -41,13 +41,6 @@ TEST_F(OptionsTest, RejectsZeroMergeBatch) {
   EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
 }
 
-TEST_F(OptionsTest, RejectsZeroMergeQueueDepth) {
-  Options options;
-  options.merge_queue_depth = 0;
-  Status s = ValidateOptions(options);
-  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
-}
-
 TEST_F(OptionsTest, RejectsZeroSortWorkspace) {
   Options options;
   options.sort_workspace_keys = 0;

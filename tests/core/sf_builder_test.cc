@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <functional>
 #include <thread>
 
 #include "btree/tree_verifier.h"
@@ -11,8 +13,46 @@
 namespace oib {
 namespace {
 
+// Holds a failpoint site until the test disarms it.
+FailPointPolicy ParkPolicy() {
+  FailPointPolicy p;
+  p.action = FailPointAction::kPark;
+  return p;
+}
+
+constexpr std::chrono::seconds kParkWait{60};
+
+// A thread that is always joined: on an early test exit the destructor
+// first releases every parked failpoint so the thread can finish.
+class BackgroundThread {
+ public:
+  explicit BackgroundThread(std::function<void()> fn)
+      : thread_(std::move(fn)) {}
+  ~BackgroundThread() {
+    if (thread_.joinable()) {
+      FailPointRegistry::Instance().Reset();
+      thread_.join();
+    }
+  }
+  void Join() { thread_.join(); }
+
+ private:
+  std::thread thread_;
+};
+
 class SfBuilderTest : public EngineTest {
  protected:
+  // Side-file entries appended to the given indexes' side-files.
+  uint64_t SideFileEntries(const std::vector<IndexId>& ids) {
+    uint64_t n = 0;
+    for (IndexId id : ids) {
+      SideFile* sf = engine_->catalog()->side_file(id);
+      EXPECT_NE(sf, nullptr);
+      if (sf != nullptr) n += sf->entries_appended();
+    }
+    return n;
+  }
+
   BuildParams Params(TableId table, bool unique = false,
                      const std::string& name = "sf_idx") {
     BuildParams p;
@@ -291,8 +331,125 @@ TEST_F(SfBuilderTest, BuildManyInOneScan) {
   ASSERT_EQ(ids.size(), 2u);
   // One scan fed both: pages scanned counted once.
   EXPECT_GT(stats.data_pages_scanned, 0u);
+  // Every side-file entry was applied (or fenced) exactly once.
+  EXPECT_EQ(stats.side_file_applied + stats.side_file_skipped_stale,
+            SideFileEntries(ids));
   ExpectIndexConsistent(table, ids[0]);
   ExpectIndexConsistent(table, ids[1]);
+}
+
+TEST_F(SfBuilderTest, BuildManyDrainAppliesEachSideFileEntryOnce) {
+  TableId table = MakeTable();
+  auto rids = Populate(table, 1500);
+  FailPointRegistry& fps = FailPointRegistry::Instance();
+  fps.ArmPolicy("sf.load", ParkPolicy());
+  fps.ArmPolicy("sf.finalize", ParkPolicy());
+
+  std::vector<BuildParams> params = {Params(table, false, "multi_key"),
+                                     Params(table, false, "multi_payload")};
+  params[1].key_cols = {1};
+  std::vector<IndexId> ids;
+  BuildStats stats;
+  Status build_status;
+  BackgroundThread builder([&] {
+    SfIndexBuilder b(engine_.get());
+    build_status = b.BuildMany(params, &ids, &stats);
+  });
+
+  // Committed deletes + inserts past the scan: one side-file entry each,
+  // per index.
+  auto churn = [&](size_t first) {
+    Transaction* txn = engine_->Begin();
+    for (size_t i = first; i < first + 20; ++i) {
+      ASSERT_OK(engine_->records()->DeleteRecord(txn, table, rids[i]));
+      ASSERT_OK(engine_->records()
+                    ->InsertRecord(txn, table,
+                                   Schema::EncodeRecord(
+                                       {"new" + std::to_string(i), "p"}))
+                    .status());
+    }
+    ASSERT_OK(engine_->Commit(txn));
+  };
+  // Entries appended during the load are applied by each index's
+  // catch-up; entries appended at the finalize edge only by the drain.
+  ASSERT_TRUE(fps.WaitParked("sf.load", kParkWait));
+  churn(0);
+  fps.Disarm("sf.load");
+  ASSERT_TRUE(fps.WaitParked("sf.finalize", kParkWait));
+  churn(100);
+  fps.Disarm("sf.finalize");
+  builder.Join();
+
+  ASSERT_OK(build_status);
+  ASSERT_EQ(ids.size(), 2u);
+  EXPECT_EQ(SideFileEntries(ids), 2u * 2 * 40);
+  EXPECT_EQ(stats.side_file_skipped_stale, 0u);
+  EXPECT_EQ(stats.side_file_applied, SideFileEntries(ids));
+  ExpectIndexConsistent(table, ids[0]);
+  ExpectIndexConsistent(table, ids[1]);
+}
+
+// A unique build whose duplicate arrives only in the residual side-file
+// fails in the final drain while another transaction is open across the
+// gate.  The drain must open the gate before cancelling: Cancel waits for
+// table S, which the open transaction's IX holds until its next update —
+// blocked on the gate — lets it commit.
+TEST_F(SfBuilderTest, UniqueViolationInFinalDrainOpensGateAndDropsIndex) {
+  TableId table = MakeTable();
+  auto rids = Populate(table, 2000);
+  FailPointRegistry& fps = FailPointRegistry::Instance();
+  fps.ArmPolicy("sf.finalize", ParkPolicy());
+  fps.ArmPolicy("sf.drain", ParkPolicy());
+
+  Status build_status;
+  BackgroundThread builder([&] {
+    SfIndexBuilder b(engine_.get());
+    IndexId index;
+    build_status = b.Build(Params(table, /*unique=*/true, "u"), &index);
+  });
+
+  // Catch-up is over: the duplicate lands in the residual only.
+  ASSERT_TRUE(fps.WaitParked("sf.finalize", kParkWait));
+  Transaction* dup = engine_->Begin();
+  ASSERT_OK(engine_->records()
+                ->InsertRecord(dup, table,
+                               Schema::EncodeRecord(
+                                   {Workload::MakeKey(7, 12), "dup"}))
+                .status());
+  ASSERT_OK(engine_->Commit(dup));
+  // The open transaction takes table IX before the gate closes ...
+  Transaction* open = engine_->Begin();
+  ASSERT_OK(engine_->records()->DeleteRecord(open, table, rids[1000]));
+  fps.Disarm("sf.finalize");
+
+  // ... and updates again while the drain holds the gate.  (Its page is
+  // neither of the two pages the unique check reads.)
+  ASSERT_TRUE(fps.WaitParked("sf.drain", kParkWait));
+  Status open_status;
+  BackgroundThread updater([&] {
+    open_status = engine_->records()->DeleteRecord(open, table, rids[1500]);
+    if (open_status.ok()) open_status = engine_->Commit(open);
+  });
+  auto t0 = std::chrono::steady_clock::now();
+  fps.Disarm("sf.drain");
+  builder.Join();
+  updater.Join();
+  double secs = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
+
+  EXPECT_TRUE(build_status.IsUniqueViolation()) << build_status.ToString();
+  // Far below Cancel's 60 s table-lock timeout.
+  EXPECT_LT(secs, 10.0);
+  EXPECT_OK(open_status);
+  EXPECT_TRUE(engine_->catalog()->IndexesOf(table).empty());
+  EXPECT_EQ(engine_->records()->GetBuild(table), nullptr);
+  Transaction* txn = engine_->Begin();
+  ASSERT_OK(engine_->records()
+                ->InsertRecord(txn, table,
+                               Schema::EncodeRecord({"post-abort", "p"}))
+                .status());
+  ASSERT_OK(engine_->Commit(txn));
 }
 
 // ---- crash / resume ----

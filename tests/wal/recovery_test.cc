@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "btree/btree.h"
+#include "btree/tree_verifier.h"
 #include "tests/test_util.h"
 
 namespace oib {
@@ -71,91 +72,58 @@ TEST_F(RecoveryTest, CrashDuringRollbackFinishesUndoAtRestart) {
   EXPECT_TRUE(heap->Exists(rids[3]));
 }
 
-// Runs one deterministic world — heap rows plus enough B+-tree inserts to
-// split repeatedly — crashes it, recovers with `redo_threads` workers, and
-// returns the flushed disk image plus recovery stats.
-struct WorldResult {
-  std::string image;
-  RecoveryStats stats;
-};
-
-WorldResult RunRedoWorld(size_t redo_threads) {
+// Split-heavy redo: 3000 B+-tree inserts split leaves and grow the root
+// repeatedly, and none of those pages reach disk before the crash, so
+// restart must replay every split and new-root record in log order.
+TEST(RedoTest, SplitHeavyWorldRecoversVerifiedTree) {
+  constexpr int kKeys = 3000;
+  auto key_of = [](int i) {
+    char key[16];
+    snprintf(key, sizeof(key), "%08d", (i * 7919) % 100000);  // distinct
+    return std::string(key);
+  };
   Options options;
   options.buffer_pool_pages = 2048;
-  options.recovery_threads = redo_threads;
   auto env = Env::InMemory(options);
+  IndexId index = kInvalidIndexId;
   {
     auto engine = Engine::Open(options, env.get());
-    EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
     auto table = (*engine)->catalog()->CreateTable("t");
-    EXPECT_TRUE(table.ok());
+    ASSERT_TRUE(table.ok());
     WorkloadOptions wo;
-    EXPECT_TRUE(Workload::Populate(engine->get(), *table, 200, wo).ok());
+    ASSERT_OK(Workload::Populate(engine->get(), *table, 200, wo).status());
     auto desc = (*engine)->catalog()->CreateIndex("idx", *table, false, {0},
                                                   BuildAlgo::kOffline);
-    EXPECT_TRUE(desc.ok());
-    BTree* tree = (*engine)->catalog()->index(desc->id);
+    ASSERT_TRUE(desc.ok());
+    index = desc->id;
+    BTree* tree = (*engine)->catalog()->index(index);
     Transaction* txn = (*engine)->Begin();
-    for (int i = 0; i < 3000; ++i) {
-      char key[16];
-      snprintf(key, sizeof(key), "%08d", (i * 7919) % 100000);
-      auto r = tree->Insert(txn, key, Rid(uint32_t(i), 0));
-      EXPECT_TRUE(r.ok()) << r.status().ToString();
+    for (int i = 0; i < kKeys; ++i) {
+      ASSERT_OK(tree->Insert(txn, key_of(i), Rid(uint32_t(i), 0)).status());
     }
-    EXPECT_TRUE((*engine)->Commit(txn).ok());
-    EXPECT_TRUE((*engine)->SimulateCrash().ok());
+    ASSERT_OK((*engine)->Commit(txn));
+    ASSERT_OK((*engine)->SimulateCrash());
   }
-  WorldResult out;
-  auto engine = Engine::Restart(options, env.get(), &out.stats);
-  EXPECT_TRUE(engine.ok()) << engine.status().ToString();
-  EXPECT_TRUE((*engine)->FlushAll().ok());
-  DiskManager* disk = env->disk.get();
-  std::string page(disk->page_size(), '\0');
-  for (PageId p = 0; p < disk->PageCount(); ++p) {
-    if (disk->ReadPage(p, page.data()).ok()) {
-      out.image += page;
-    } else {
-      out.image += "<unreadable:" + std::to_string(p) + ">";
-    }
+
+  RecoveryStats stats;
+  auto engine = Engine::Restart(options, env.get(), &stats);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  EXPECT_GT(stats.records_redone, uint64_t(kKeys));
+  EXPECT_EQ(stats.redo_ns, 0u);  // redo is timed inside analysis_ns
+  BTree* tree = (*engine)->catalog()->index(index);
+  ASSERT_NE(tree, nullptr);
+  TreeVerifier tv(tree, (*engine)->pool());
+  ASSERT_OK_AND_ASSIGN(TreeCheckReport report, tv.Check());
+  EXPECT_TRUE(report.ok) << report.error;
+  EXPECT_EQ(report.entries, uint64_t(kKeys));
+  EXPECT_GT(report.height, 1u);
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_OK_AND_ASSIGN(BTree::ValueMatch m, tree->FindKeyValue(key_of(i)));
+    ASSERT_TRUE(m.found) << key_of(i);
+    EXPECT_EQ(m.rid, Rid(uint32_t(i), 0));
+    EXPECT_FALSE(m.pseudo_deleted);
   }
-  return out;
-}
-
-// The tentpole equivalence check: partitioned redo must reconstruct the
-// exact same pages as single-threaded redo, barriers and all.
-TEST(ParallelRedoTest, PartitionedRedoProducesIdenticalPages) {
-  WorldResult serial = RunRedoWorld(1);
-  WorldResult parallel = RunRedoWorld(4);
-  EXPECT_EQ(serial.stats.redo_threads, 1u);
-  EXPECT_EQ(parallel.stats.redo_threads, 4u);
-  // Same log → same redo work, and the splits/new-roots show up as
-  // barriers only on the partitioned path.
-  EXPECT_EQ(serial.stats.records_scanned, parallel.stats.records_scanned);
-  EXPECT_EQ(serial.stats.records_redone, parallel.stats.records_redone);
-  EXPECT_GT(parallel.stats.records_redone, 3000u);
-  EXPECT_GT(parallel.stats.redo_barriers, 0u);
-  EXPECT_EQ(serial.stats.redo_barriers, 0u);
-  ASSERT_EQ(serial.image.size(), parallel.image.size());
-  EXPECT_TRUE(serial.image == parallel.image) << "disk images diverge";
-}
-
-TEST_F(RecoveryTest, ParallelRedoRecoversEngineConsistently) {
-  options_.recovery_threads = 4;
-  TableId table = MakeTable();
-  Populate(table, 300);
-  CrashAndRestart();
-  EXPECT_EQ(recovery_stats_.redo_threads, 4u);
-  EXPECT_GT(recovery_stats_.records_redone, 0u);
-  HeapFile* heap = engine_->catalog()->table(table);
-  uint64_t count = 0;
-  ASSERT_OK(heap->ForEach([&](const Rid&, std::string_view) { ++count; }));
-  EXPECT_EQ(count, 300u);
-  // A second crash replays over the already-redone pages.
-  CrashAndRestart();
-  count = 0;
-  heap = engine_->catalog()->table(table);
-  ASSERT_OK(heap->ForEach([&](const Rid&, std::string_view) { ++count; }));
-  EXPECT_EQ(count, 300u);
 }
 
 TEST_F(RecoveryTest, LatePagesRedoneFromLog) {
