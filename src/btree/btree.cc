@@ -533,6 +533,7 @@ Status BTree::MakeRoomInLeaf(std::vector<WritePageGuard>* path,
     size_t leaf_idx = path->size() - 1;
     bool has_room;
     int n, pos;
+    bool below_first = true;  // (key, rid) sorts below the first entry
     {
       BTreePage leaf((*path)[leaf_idx].data(), page_size());
       has_room = leaf.HasSpaceFor(KeySlice(key));
@@ -546,6 +547,9 @@ Status BTree::MakeRoomInLeaf(std::vector<WritePageGuard>* path,
       }
       n = leaf.count();
       pos = leaf.LowerBound(key, rid);
+      if (!has_room && ib_mode && n > 0) {
+        below_first = leaf.CompareEntryAt(0, key, rid) > 0;
+      }
     }
     if (has_room) return Status::OK();
 
@@ -554,6 +558,12 @@ Status BTree::MakeRoomInLeaf(std::vector<WritePageGuard>* path,
       // Section 2.3.1: move only the keys higher than IB's (those were
       // inserted by transactions); if there are none, open a fresh leaf.
       split_at = pos;
+      // Moving every entry right makes room only if IB's key then stays
+      // on the emptied left page.  If it does not sort below the first
+      // entry (a transaction inserted the same <key,RID> after IB's
+      // duplicate check), the moved page would be the target again,
+      // unchanged, and the loop would never end: split at the midpoint.
+      if (split_at == 0 && !below_first && n > 1) split_at = n / 2;
     } else if (pos == n) {
       // Append pattern: leave the full page behind, open an empty right
       // neighbour (mimics bottom-up growth).
@@ -969,8 +979,50 @@ Status BTree::IbInsertBatch(Transaction* txn,
 
 // ----------------------------- scans --------------------------------
 
+Status BTree::LeafIdsFromParents(std::vector<PageId>* out) const {
+  out->clear();
+  std::vector<PageId> level;
+  int expect;  // level of the pages in `level`
+  {
+    ReadPageGuard root;
+    OIB_RETURN_IF_ERROR(LatchRootRead(&root));
+    BTreePage page(const_cast<char*>(root.data()), page_size());
+    if (page.is_leaf()) return Status::OK();
+    level.push_back(root.page_id());
+    expect = page.level();
+  }
+  for (; expect >= 1; --expect) {
+    std::vector<PageId> children;
+    for (PageId id : level) {
+      auto g = pool_->FetchRead(id);
+      if (!g.ok()) return g.status();
+      BTreePage page(const_cast<char*>(g->data()), page_size());
+      if (page.is_leaf() || page.level() != expect) {
+        out->clear();  // the tree changed shape under the walk
+        return Status::OK();
+      }
+      for (int i = -1; i < page.count(); ++i) {
+        children.push_back(page.ChildAt(i));
+      }
+    }
+    level = std::move(children);
+  }
+  *out = std::move(level);
+  return Status::OK();
+}
+
 Status BTree::ScanAll(const std::function<void(std::string_view, const Rid&,
                                                uint8_t)>& fn) const {
+  const size_t window = pool_->ReadAheadWindow();
+  std::vector<PageId> leaves;
+  if (window > 0) OIB_RETURN_IF_ERROR(LeafIdsFromParents(&leaves));
+  size_t visited = 0, hinted = 0;
+  auto read_ahead = [&] {
+    for (; hinted < leaves.size() && hinted < visited + window; ++hinted) {
+      pool_->Prefetch(leaves[hinted]);
+    }
+  };
+  read_ahead();
   ReadPageGuard leaf;
   OIB_RETURN_IF_ERROR(DescendToLeafRead("", Rid::MinusInfinity(), &leaf));
   for (;;) {
@@ -980,6 +1032,8 @@ Status BTree::ScanAll(const std::function<void(std::string_view, const Rid&,
     }
     PageId next = page.next();
     if (next == kInvalidPageId) return Status::OK();
+    ++visited;
+    read_ahead();
     auto ng = pool_->FetchRead(next);
     if (!ng.ok()) return ng.status();
     leaf = std::move(*ng);

@@ -195,7 +195,9 @@ class BTree {
   // ---- scans & inspection ----
 
   // Walks all leaf entries in order: fn(key, rid, flags).  Latches one
-  // leaf at a time.
+  // leaf at a time.  When the pool reads ahead, the leaf ids listed by the
+  // level-1 pages are hinted up to BufferPool::ReadAheadWindow() leaves
+  // ahead of the walk (restart and SF-resume hash repopulation, verifier).
   Status ScanAll(const std::function<void(std::string_view, const Rid&,
                                           uint8_t)>& fn) const;
   // Leaf page ids in leaf-chain order (clustering measurements, GC).
@@ -230,6 +232,7 @@ class BTree {
  private:
   friend class BtreeRm;
   friend class BulkLoader;
+  friend class BTreeTestPeer;  // white-box tests of the split paths
 
   // Latches the current root (shared or exclusive), validating the cached
   // root pointer after the latch is held.
@@ -266,6 +269,12 @@ class BTree {
   // `key`; splits (and grows the root) as needed, re-routing so that on
   // return path->back() is the leaf where (key, rid) belongs and has room.
   // `ib_mode` applies the section 2.3.1 specialized split.
+  // Leaf ids in key order as the level-1 pages list them, reading the
+  // internal levels one latched page at a time.  Read-ahead input only: a
+  // concurrent split can make it stale, and an inconsistent level (the
+  // tree grew meanwhile) yields an empty list.
+  Status LeafIdsFromParents(std::vector<PageId>* out) const;
+
   Status MakeRoomInLeaf(std::vector<WritePageGuard>* path,
                         std::string_view key, const Rid& rid, bool ib_mode);
 

@@ -25,6 +25,7 @@ const char* LockRankName(LockRank rank) {
     case LockRank::kWalDrain:       return "WalDrain";
     case LockRank::kRunStore:       return "RunStore";
     case LockRank::kMergeQueue:     return "MergeQueue";
+    case LockRank::kBufferIo:       return "BufferIo";
     case LockRank::kDisk:           return "Disk";
     case LockRank::kFailPoint:      return "FailPoint";
     case LockRank::kStatsSampler:   return "StatsSampler";

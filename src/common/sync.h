@@ -131,6 +131,8 @@ enum class LockRank : uint16_t {
   kWalDrain = 130,       // LogManager::drain_mu_ (nested under flush_mu_)
   kRunStore = 140,       // RunStore::mu_ (spill store)
   kMergeQueue = 150,     // BuildPipeline merge/consume handoff queue
+  kBufferIo = 155,       // BufferPool read-ahead queue (hinted under page
+                         // latches; I/O workers take it with nothing held)
   kDisk = 160,           // DiskManager::mu_ (leaf; held across simulated IO)
   kFailPoint = 170,      // FailPointRegistry::mu_ (checked under latches)
   kStatsSampler = 175,   // obs::StatsSampler::mu_ (sample ring + lifecycle;
@@ -143,7 +145,7 @@ const char* LockRankName(LockRank rank);
 
 // Dense 0-based index used by the per-rank lock-contention profiler
 // (obs/lock_profile.cc).  Keep in sync with the enum above.
-inline constexpr int kNumLockRanks = 21;
+inline constexpr int kNumLockRanks = 22;
 constexpr int LockRankIndex(LockRank rank) {
   switch (rank) {
     case LockRank::kBuildPlan:      return 0;
@@ -163,10 +165,11 @@ constexpr int LockRankIndex(LockRank rank) {
     case LockRank::kWalDrain:       return 14;
     case LockRank::kRunStore:       return 15;
     case LockRank::kMergeQueue:     return 16;
-    case LockRank::kDisk:           return 17;
-    case LockRank::kFailPoint:      return 18;
-    case LockRank::kStatsSampler:   return 19;
-    case LockRank::kObs:            return 20;
+    case LockRank::kBufferIo:       return 17;
+    case LockRank::kDisk:           return 18;
+    case LockRank::kFailPoint:      return 19;
+    case LockRank::kStatsSampler:   return 20;
+    case LockRank::kObs:            return 21;
   }
   return 0;
 }

@@ -125,6 +125,17 @@ Status BuildPipeline::RunScan(const HeapFile* heap, obs::Tracer* tracer,
   std::vector<double> busy(parts, 0.0);
   // Only the single unbounded (final) partition's worker writes this.
   PageId tail_last = kInvalidPageId;
+  // Read-ahead: each worker hints up to `window` pages ahead along its
+  // slice of the chain as planned.  The scan itself follows the live
+  // chain; hinting stops where the two part (pages appended since).
+  BufferPool* pool = heap->pool();
+  const size_t window = pool->ReadAheadWindow();
+  std::vector<PageId> chain;
+  if (window > 0) {
+    auto pages = heap->ChainPages(plan->stop_page);
+    if (!pages.ok()) return pages.status();
+    chain = std::move(*pages);
+  }
 
   auto work = [&](size_t k) -> Status {
     const char* span_name = "build.scan";
@@ -140,6 +151,14 @@ Status BuildPipeline::RunScan(const HeapFile* heap, obs::Tracer* tracer,
       bound = plan->parts[k].bound;
     }
     const PageId stop_page = plan->stop_page;  // never mutated
+    // chain[at] is the page being scanned; chain[.., hinted) were hinted;
+    // chain[end] is where the partition stops.
+    size_t at = std::find(chain.begin(), chain.end(), next) - chain.begin();
+    const size_t end =
+        bound == kInvalidPageId
+            ? chain.size()
+            : std::find(chain.begin(), chain.end(), bound) - chain.begin();
+    size_t hinted = at + 1;
     uint64_t keys_since_ckpt = 0;
     std::vector<std::pair<Rid, std::string>> recs;
     std::string key_buf;  // normalized-key scratch, reused per record
@@ -152,6 +171,14 @@ Status BuildPipeline::RunScan(const HeapFile* heap, obs::Tracer* tracer,
       }
       recs.clear();
       const PageId page = next;
+      if (at < end && chain[at] == page) {
+        for (; hinted < end && hinted <= at + window; ++hinted) {
+          pool->Prefetch(chain[hinted]);
+        }
+        ++at;
+      } else {
+        at = end;  // off the planned chain: no more hints
+      }
       auto got = heap->ExtractPage(
           page, &recs,
           hooks.page_scanned

@@ -117,7 +117,8 @@ StatusOr<std::unique_ptr<Engine>> Engine::Restart(const Options& options,
     }
   }
 
-  RecoveryManager recovery(&env->log, &engine->txns_, &engine->rms_);
+  RecoveryManager recovery(&env->log, &engine->txns_, &engine->rms_,
+                           &engine->pool_);
   std::vector<std::pair<TxnId, Lsn>> losers;
   {
     obs::ScopedSpan span(&obs::Tracer::Default(), "recovery.analysis_redo");

@@ -1,5 +1,7 @@
 #include "heap/heap_file.h"
 
+#include <algorithm>
+
 #include "common/coding.h"
 
 namespace oib {
@@ -55,6 +57,13 @@ Status HeapFile::Open(PageId first) {
   uint64_t live = 0;
   std::vector<PageId> hints;
   std::vector<PageId> chain;
+  // Read-ahead by page id: heap pages are allocated in ascending id order,
+  // so a table loaded in one go chains mostly through consecutive ids.
+  // While the chain runs sequentially, ids up to `window` past the current
+  // page are hinted; pages [.., hinted] have been.
+  const size_t window = pool_->ReadAheadWindow();
+  const PageId last_id = window > 0 ? pool_->disk()->PageCount() - 1 : 0;
+  PageId hinted = first;
   while (cur != kInvalidPageId) {
     auto guard = pool_->FetchRead(cur);
     if (!guard.ok()) return guard.status();
@@ -75,7 +84,15 @@ Status HeapFile::Open(PageId first) {
     chain.push_back(cur);
     ++count;
     tail = cur;
-    cur = sp.next_page();
+    PageId next = sp.next_page();
+    if (window > 0 && next == cur + 1) {
+      PageId to = std::min<PageId>(cur + window, last_id);
+      for (PageId p = std::max(hinted, cur) + 1; p <= to; ++p) {
+        pool_->Prefetch(p);
+      }
+      hinted = std::max(hinted, to);
+    }
+    cur = next;
   }
   tail_page_.store(tail);
   live_records_.store(live);

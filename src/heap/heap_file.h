@@ -60,6 +60,7 @@ class HeapFile {
   Status Open(PageId first);
 
   TableId table_id() const { return table_id_; }
+  BufferPool* pool() const { return pool_; }
   PageId first_page() const { return first_page_; }
   PageId tail_page() const { return tail_page_.load(); }
 

@@ -69,8 +69,9 @@ std::vector<LockRankContention> CollectLockProfile() {
       sync::LockRank::kSideFileCount,  sync::LockRank::kLockTable,
       sync::LockRank::kWalFlush,       sync::LockRank::kWalDrain,
       sync::LockRank::kRunStore,       sync::LockRank::kMergeQueue,
-      sync::LockRank::kDisk,           sync::LockRank::kFailPoint,
-      sync::LockRank::kStatsSampler,   sync::LockRank::kObs,
+      sync::LockRank::kBufferIo,       sync::LockRank::kDisk,
+      sync::LockRank::kFailPoint,      sync::LockRank::kStatsSampler,
+      sync::LockRank::kObs,
   };
   for (sync::LockRank rank : kAllRanks) {
     const RankSlot& slot = g_slots[sync::LockRankIndex(rank)];

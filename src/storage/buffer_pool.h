@@ -7,8 +7,19 @@
 // CLOCK hand, so fetches on different pages proceed in parallel instead of
 // funnelling through one process-wide lock; a fetch hit touches one ref bit
 // (the CLOCK "recently used" signal) instead of splicing an LRU list.
-// Unpin is lock-free (atomic pin count + dirty bit), and FlushAll never
-// holds a shard mutex across disk I/O or the WAL-flush hook.
+// Unpin is lock-free (atomic pin count + dirty bit).
+//
+// Page reads run with no shard mutex held: a miss binds a frame under the
+// mutex and marks it *reading* (Page::Io), then reads with the mutex
+// dropped, so reads in one shard overlap; a fetch that finds a frame
+// mid-read waits on that frame.  FlushPage/FlushAll likewise write with no
+// shard mutex held.  Only evicting a dirty victim writes under it.
+//
+// Prefetch is the read-ahead hint of sequential readers (restart redo,
+// B+-tree leaf scans, heap chain walks, build scans): it binds the frame
+// in the caller's thread and hands the read to one of kIoWorkers threads.
+// Hints are dropped, never failed, and are off on a device whose reads
+// cannot block (DiskManager::reads_can_block).
 //
 // RAII page guards combine pin + latch acquisition in the safe order
 // (pin first, then latch), so an evictable frame can never be latched.
@@ -18,6 +29,8 @@
 
 #include <atomic>
 #include <functional>
+#include <pthread.h>
+
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -97,6 +110,11 @@ class BufferPool {
   // would leave shards smaller is halved until it fits (tiny test pools
   // still want eviction to work inside each shard).
   static constexpr size_t kMinPagesPerShard = 4;
+  // Read-ahead: I/O worker threads (started by the first hint), the
+  // depth of their request queue, and the cap on ReadAheadWindow.
+  static constexpr size_t kIoWorkers = 8;
+  static constexpr size_t kIoQueueDepth = 256;
+  static constexpr size_t kMaxReadAhead = 64;
 
   // `shards` must be a power of two; 0 = auto (min(16, hw_concurrency)).
   BufferPool(DiskManager* disk, size_t pool_pages, size_t shards = 0);
@@ -125,8 +143,22 @@ class BufferPool {
   Status FlushAll();
 
   // Crash simulation: drops every frame without flushing.  Pins must be
-  // released first (asserted).
+  // released first (asserted).  Waits for hinted reads still in flight.
   void DiscardAll();
+
+  // Read-ahead hint: starts reading `page_id` into a frame in the
+  // background, so that a later fetch finds it resident (or waits on the
+  // read already under way).  Dropped when the page is resident or being
+  // read, when the disk's reads cannot block, or when its shard has no
+  // frame to evict; a hint never makes a fetch fail or return Busy.  A
+  // hinted read that fails leaves nothing behind but the next fetch's
+  // own read.  Blocks only when kIoQueueDepth hints are already queued.
+  void Prefetch(PageId page_id);
+
+  // How many pages a sequential reader should hint ahead of its position:
+  // min(kMaxReadAhead, pool pages / 8), or 0 (no read-ahead) when the
+  // disk's reads cannot block.
+  size_t ReadAheadWindow() const;
 
   DiskManager* disk() { return disk_; }
 
@@ -138,8 +170,15 @@ class BufferPool {
   uint64_t hits() const;
   uint64_t misses() const;
   uint64_t evictions() const;
+  // Read-ahead counters: hints that bound a frame and queued a read
+  // (issued), hinted frames fetched before eviction (used), and hinted
+  // frames evicted without a fetch (wasted).
+  uint64_t prefetch_issued() const;
+  uint64_t prefetch_used() const;
+  uint64_t prefetch_wasted() const;
 
-  // Registers bufferpool.{hits,misses,evictions} with `registry` (owner =
+  // Registers bufferpool.{hits,misses,evictions} and
+  // bufferpool.prefetch_{issued,used,wasted} with `registry` (owner =
   // this pool; the destructor detaches them).  Exported as value callbacks
   // summing the per-shard counters.
   void AttachMetrics(obs::MetricsRegistry* registry);
@@ -161,6 +200,16 @@ class BufferPool {
     obs::Counter hits;
     obs::Counter misses;
     obs::Counter evictions;
+    obs::Counter prefetch_issued;
+    obs::Counter prefetch_used;
+    obs::Counter prefetch_wasted;
+  };
+
+  // A hinted read handed to the I/O workers: the frame was bound (and
+  // marked reading) by Prefetch, so a worker only fills and publishes it.
+  struct IoRequest {
+    PageId page_id;
+    Page* page;
   };
 
   Shard& ShardFor(PageId page_id) {
@@ -168,20 +217,51 @@ class BufferPool {
   }
 
   StatusOr<WritePageGuard> BindNewPage(PageId page_id);
-  StatusOr<Page*> FetchPageLocked(Shard& s, PageId page_id)
+  // Returns `page_id` pinned with its contents read (the shared body of
+  // FetchRead/FetchWrite).  Takes s.mu only to find or bind the frame.
+  StatusOr<Page*> FetchPage(PageId page_id);
+  // Reads the page into `page`, which the caller pinned and marked
+  // reading; on failure marks it failed and drops the pin.
+  StatusOr<Page*> ReadInto(PageId page_id, Page* page);
+  // Binds a frame to `page_id`, evicting if needed; ref bit set, unpinned.
+  // `wait_for_reads`: see EvictOne.
+  StatusOr<Page*> BindFrame(Shard& s, PageId page_id, bool wait_for_reads)
       OIB_REQUIRES(s.mu);
   StatusOr<Page*> PinNewFrame(Shard& s, PageId page_id) OIB_REQUIRES(s.mu);
-  // Frees one frame into s.free_list.
-  Status EvictOne(Shard& s) OIB_REQUIRES(s.mu);
+  // Frees one frame into s.free_list.  A frame whose read is in flight
+  // cannot be evicted; when no other frame can, `wait_for_reads` waits
+  // for such a read and sweeps again before returning Busy (Prefetch
+  // passes false: a hint is dropped rather than waited for).
+  Status EvictOne(Shard& s, bool wait_for_reads) OIB_REQUIRES(s.mu);
   // Lock-free: atomic dirty bit + pin count (release; eviction acquires).
   void Unpin(Page* page, bool dirty);
+  // Queues a hinted read, starting the workers on first use; reads it
+  // in the caller's thread if no worker can be started.
+  void SubmitRead(PageId page_id, Page* page);
+  void IoWorkerLoop();
 
   DiskManager* disk_;
+  const size_t pool_pages_;
   std::function<Status(Lsn)> wal_flush_;
 
   std::vector<std::unique_ptr<Shard>> shards_;
   size_t shard_mask_ = 0;
   obs::MetricsRegistry* metrics_ = nullptr;  // set by AttachMetrics
+
+  // Read-ahead queue: a fixed ring, so that the workers never allocate.
+  // A thread's first malloc or free binds it to a malloc arena, and a new
+  // arena fills with the next threads' allocations while older arenas
+  // keep their freed memory resident (perfbench's peak RSS grew round
+  // over round).  The workers are plain pthreads for the same reason:
+  // std::thread frees its start state in the new thread.
+  sync::Mutex io_mu_{sync::LockRank::kBufferIo, "bufferpool.io.mu"};
+  sync::CondVar io_ready_;  // a request was queued, or stop
+  sync::CondVar io_space_;  // a request was taken
+  std::vector<IoRequest> io_ring_ OIB_GUARDED_BY(io_mu_);
+  size_t io_head_ OIB_GUARDED_BY(io_mu_) = 0;
+  size_t io_queued_ OIB_GUARDED_BY(io_mu_) = 0;
+  bool io_stop_ OIB_GUARDED_BY(io_mu_) = false;
+  std::vector<pthread_t> io_workers_ OIB_GUARDED_BY(io_mu_);
 };
 
 }  // namespace oib

@@ -21,7 +21,6 @@ namespace oib {
 // --------------------------- InMemoryDisk ---------------------------
 
 Status InMemoryDisk::ReadPage(PageId page_id, char* out) {
-  uint32_t delay;
   {
     sync::MutexLock g(&mu_);
     if (page_id >= pages_.size()) {
@@ -30,8 +29,8 @@ Status InMemoryDisk::ReadPage(PageId page_id, char* out) {
     }
     std::memcpy(out, pages_[page_id].data(), page_size_);
     ++reads_;
-    delay = read_delay_us_;
   }
+  uint32_t delay = read_delay_us_.load(std::memory_order_relaxed);
   if (delay > 0) {
     std::this_thread::sleep_for(std::chrono::microseconds(delay));
   }

@@ -33,6 +33,7 @@
 #ifndef OIB_STORAGE_DISK_MANAGER_H_
 #define OIB_STORAGE_DISK_MANAGER_H_
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -72,6 +73,11 @@ class DiskManager {
 
   virtual size_t page_size() const = 0;
 
+  // Whether a page read can keep the calling thread waiting on the device.
+  // The buffer pool reads ahead only on such a device: where a read is a
+  // memcpy, handing it to another thread costs more than doing it.
+  virtual bool reads_can_block() const { return true; }
+
   // I/O counters (benches report these as proxies for disk cost).
   virtual uint64_t reads() const = 0;
   virtual uint64_t writes() const = 0;
@@ -84,8 +90,7 @@ class InMemoryDisk : public DiskManager {
   // Benches simulate an I/O-bound environment (the paper's "several days
   // to scan a petabyte table") by charging a fixed latency per page read.
   void set_read_delay_us(uint32_t us) {
-    sync::MutexLock g(&mu_);
-    read_delay_us_ = us;
+    read_delay_us_.store(us, std::memory_order_relaxed);
   }
 
   Status ReadPage(PageId page_id, char* out) override;
@@ -97,18 +102,22 @@ class InMemoryDisk : public DiskManager {
   Status PutMeta(const std::string& key, const std::string& value) override;
   Status GetMeta(const std::string& key, std::string* value) override;
   size_t page_size() const override { return page_size_; }
+  // Only a charged read delay makes a read wait.
+  bool reads_can_block() const override {
+    return read_delay_us_.load(std::memory_order_relaxed) > 0;
+  }
   uint64_t reads() const override;
   uint64_t writes() const override;
 
  private:
   size_t page_size_;
+  std::atomic<uint32_t> read_delay_us_{0};
   mutable sync::Mutex mu_{sync::LockRank::kDisk, "inmemorydisk.mu"};
   std::vector<std::string> pages_ OIB_GUARDED_BY(mu_);
   std::vector<PageId> free_list_ OIB_GUARDED_BY(mu_);
   std::vector<std::pair<std::string, std::string>> meta_ OIB_GUARDED_BY(mu_);
   uint64_t reads_ OIB_GUARDED_BY(mu_) = 0;
   uint64_t writes_ OIB_GUARDED_BY(mu_) = 0;
-  uint32_t read_delay_us_ OIB_GUARDED_BY(mu_) = 0;
 };
 
 class FileDisk : public DiskManager {

@@ -64,6 +64,41 @@ class Page {
   bool ref() const { return ref_.load(std::memory_order_relaxed); }
   void set_ref(bool r) { ref_.store(r, std::memory_order_relaxed); }
 
+  // Read state of the frame's contents.  A miss binds the frame under the
+  // shard mutex in kReading and fills it with no pool lock held; a fetcher
+  // that finds the frame mid-read pins it and waits here, on the frame,
+  // not on the shard.  kFailed marks a read that returned an error: the
+  // contents are garbage and the next fetch reads the page again.  Frames
+  // enter kReading only under the shard mutex, and only the read so
+  // started moves the frame out, so a frame has at most one read in flight.
+  enum class Io : uint32_t { kReady, kReading, kFailed };
+  Io io() const {
+    return static_cast<Io>(io_.load(std::memory_order_acquire));
+  }
+  void BeginRead() {
+    io_.store(static_cast<uint32_t>(Io::kReading), std::memory_order_relaxed);
+  }
+  // Publishes the read (release: the bytes read are visible to whoever
+  // observes the new state) and wakes the frame's waiters.
+  void EndRead(bool ok) {
+    io_.store(static_cast<uint32_t>(ok ? Io::kReady : Io::kFailed),
+              std::memory_order_release);
+    io_.notify_all();
+  }
+  // Blocks while a read is in flight.
+  void WaitRead() const {
+    constexpr uint32_t kBusy = static_cast<uint32_t>(Io::kReading);
+    while (io_.load(std::memory_order_acquire) == kBusy) {
+      io_.wait(kBusy, std::memory_order_acquire);
+    }
+  }
+
+  // Bound by a read-ahead hint and not fetched since (the pool's
+  // prefetch used/wasted accounting).  Guarded by the owning shard's
+  // mutex.
+  bool prefetched() const { return prefetched_; }
+  void set_prefetched(bool p) { prefetched_ = p; }
+
   // Page latch.  S for readers, X for updaters; held only across short
   // critical sections, never across I/O initiated by the holder's caller.
   // Acquisition and release happen in different functions (RAII page
@@ -86,6 +121,8 @@ class Page {
     dirty_.store(false, std::memory_order_relaxed);
     pin_count_.store(0, std::memory_order_relaxed);
     ref_.store(false, std::memory_order_relaxed);
+    io_.store(static_cast<uint32_t>(Io::kReady), std::memory_order_relaxed);
+    prefetched_ = false;
     std::memset(data_.get(), 0, size_);
   }
 
@@ -96,6 +133,8 @@ class Page {
   std::atomic<bool> dirty_{false};
   std::atomic<bool> ref_{false};
   std::atomic<int> pin_count_{0};
+  std::atomic<uint32_t> io_{static_cast<uint32_t>(Io::kReady)};
+  bool prefetched_ = false;
   sync::SharedMutex latch_{sync::LockRank::kPageLatch, "page.latch"};
 };
 

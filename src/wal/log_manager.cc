@@ -382,13 +382,17 @@ Status LogManager::ScanDurable(
   // the log under page latches — calling out with a log mutex held would
   // invert that page-latch -> log-lock order.  Records flushed after the
   // call are not seen, which is the contract ("durable as of the call").
+  // Only [start, limit) is copied: a restart scanning from its checkpoint
+  // does not copy the log before it.  `snapshot` holds byte `base` of the
+  // log at index 0.
+  const uint64_t base = (start_lsn == kInvalidLsn) ? 0 : start_lsn - 1;
   std::string snapshot;
   uint64_t limit = flushed_.load(std::memory_order_acquire);
-  {
+  if (base < limit) {
     sync::MutexLock g(&drain_mu_);
-    snapshot = backing_.substr(0, limit);
+    snapshot = backing_.substr(base, limit - base);
   }
-  size_t pos = (start_lsn == kInvalidLsn) ? 0 : start_lsn - 1;
+  size_t pos = 0;
   while (pos + kFrameHeader <= snapshot.size()) {
     uint32_t len = DecodeFixed32(snapshot.data() + pos);
     if (pos + kFrameHeader + len > snapshot.size()) break;  // torn tail
@@ -405,7 +409,7 @@ Status LogManager::ScanDurable(
     LogRecord rec;
     OIB_RETURN_IF_ERROR(LogRecord::DeserializeFrom(
         std::string_view(snapshot.data() + pos + kFrameHeader, len), &rec));
-    rec.lsn = pos + 1;
+    rec.lsn = base + pos + 1;
     if (!fn(rec)) break;
     pos += kFrameHeader + len;
   }

@@ -1,9 +1,11 @@
 #include "wal/recovery.h"
 
+#include <deque>
 #include <map>
 
 #include "common/coding.h"
 #include "obs/trace.h"
+#include "storage/buffer_pool.h"
 
 namespace oib {
 
@@ -59,6 +61,17 @@ Status RecoveryManager::AnalyzeAndRedo(
 
   // Analysis pass, which is also the redo pass (interleaving is safe
   // because every redo is guarded by a page-LSN comparison inside the RM).
+  // With read-ahead, redo trails the scan by `window` records whose pages
+  // were hinted on arrival; redo order is still log order.
+  const size_t window = pool_ != nullptr ? pool_->ReadAheadWindow() : 0;
+  std::deque<LogRecord> behind;
+  auto redo = [&](const LogRecord& rec) -> Status {
+    ResourceManager* rm = rms_->Get(rec.rm_id);
+    if (rm == nullptr) return Status::Corruption("no RM for redo dispatch");
+    OIB_RETURN_IF_ERROR(rm->Redo(rec));
+    ++local.records_redone;
+    return Status::OK();
+  };
   uint64_t t0 = obs::MonotonicNanos();
   Status inner = Status::OK();
   OIB_RETURN_IF_ERROR(log_->ScanDurable(
@@ -76,22 +89,23 @@ Status RecoveryManager::AnalyzeAndRedo(
               break;
           }
         }
-        if (rec.RequiresRedo() && rec.rm_id != RmId::kNone) {
-          ResourceManager* rm = rms_->Get(rec.rm_id);
-          if (rm == nullptr) {
-            inner = Status::Corruption("no RM for redo dispatch");
-            return false;
-          }
-          Status s = rm->Redo(rec);
-          if (!s.ok()) {
-            inner = s;
-            return false;
-          }
-          ++local.records_redone;
+        if (!rec.RequiresRedo() || rec.rm_id == RmId::kNone) return true;
+        if (window == 0) {
+          inner = redo(rec);
+          return inner.ok();
         }
-        return true;
+        if (rec.page_id != kInvalidPageId) pool_->Prefetch(rec.page_id);
+        behind.push_back(rec);
+        if (behind.size() > window) {
+          inner = redo(behind.front());
+          behind.pop_front();
+        }
+        return inner.ok();
       }));
   OIB_RETURN_IF_ERROR(inner);
+  for (; !behind.empty(); behind.pop_front()) {
+    OIB_RETURN_IF_ERROR(redo(behind.front()));
+  }
   local.analysis_ns = obs::MonotonicNanos() - t0;
 
   txns_->BumpNextTxnId(max_txn_seen);

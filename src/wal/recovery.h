@@ -7,11 +7,15 @@
 // the engine flushes all dirty pages, logs a Checkpoint record carrying the
 // active-transaction table, and stores that record's LSN in disk metadata.
 //
-// Redo is applied inline as the analysis scan reaches each record, in log
-// order, so there is no separate redo pass and no in-memory copy of the
-// log.  Every RM's redo is guarded by its page LSN, so replaying a record
-// whose effect is already on the page is a no-op and a crash during
-// recovery simply repeats the pass.
+// Redo is applied in the same scan, in log order, so there is no separate
+// redo pass and no in-memory copy of the log.  When the buffer pool reads
+// ahead (BufferPool::ReadAheadWindow() > 0), each redo record's page is
+// hinted as the scan reaches it and the record is applied once the scan is
+// that many redo records further on, so up to a window of page reads
+// overlap the replay; otherwise each record is applied as it is read.
+// Every RM's redo is guarded by its page LSN, so replaying a record whose
+// effect is already on the page is a no-op and a crash during recovery
+// simply repeats the pass.
 //
 // This is the machinery the paper leans on when it argues that logging by
 // IB (NSF) or during side-file processing (SF) leaves the index
@@ -29,6 +33,8 @@
 #include "wal/resource_manager.h"
 
 namespace oib {
+
+class BufferPool;
 
 struct RecoveryStats {
   uint64_t records_scanned = 0;
@@ -50,8 +56,10 @@ Status DecodeCheckpointPayload(const std::string& payload,
 
 class RecoveryManager {
  public:
-  RecoveryManager(LogManager* log, TransactionManager* txns, RmRegistry* rms)
-      : log_(log), txns_(txns), rms_(rms) {}
+  // `pool` (optional) is the pool redo fetches through; it is only hinted.
+  RecoveryManager(LogManager* log, TransactionManager* txns, RmRegistry* rms,
+                  BufferPool* pool = nullptr)
+      : log_(log), txns_(txns), rms_(rms), pool_(pool) {}
 
   // Phase 1+2: analysis and redo in one forward pass.  `checkpoint_lsn` is
   // the LSN of the last sharp checkpoint record, or kInvalidLsn to scan the
@@ -70,6 +78,7 @@ class RecoveryManager {
   LogManager* log_;
   TransactionManager* txns_;
   RmRegistry* rms_;
+  BufferPool* pool_;
 };
 
 }  // namespace oib

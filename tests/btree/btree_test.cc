@@ -10,6 +10,25 @@
 #include "tests/test_util.h"
 
 namespace oib {
+
+// Reaches the IB-mode descent and split path directly, so a test can put a
+// leaf into a chosen state and call MakeRoomInLeaf on it.
+class BTreeTestPeer {
+ public:
+  static Status DescendIb(BTree* tree, std::string_view key, const Rid& rid,
+                          std::vector<WritePageGuard>* path) {
+    return tree->DescendPessimistic(key, rid, key.size(), path,
+                                    /*ib_mode=*/true);
+  }
+  static Status MakeRoomIb(BTree* tree, std::vector<WritePageGuard>* path,
+                           std::string_view key, const Rid& rid) {
+    return tree->MakeRoomInLeaf(path, key, rid, /*ib_mode=*/true);
+  }
+  static size_t SoftCapacity(const BTree* tree) {
+    return tree->LeafSoftCapacity();
+  }
+};
+
 namespace {
 
 class BTreeTest : public EngineTest {
@@ -433,6 +452,78 @@ TEST_F(BTreeTest, IbBatchUndoneAtRestart) {
     EXPECT_FALSE(look.found) << i;
   }
   ExpectStructurallySound(tree);
+}
+
+TEST_F(BTreeTest, IbSplitAtFirstEntryOfFullLeafMakesProgress) {
+  // A leaf that transactions filled past IB's soft capacity, and an IB key
+  // equal to its first entry (pos == 0, but the key does not sort below
+  // the leaf): moving every entry right would leave the target unchanged.
+  BTree* tree = NewTree();
+  const size_t page_size = options_.page_size;
+  const size_t entry = 1 + 6 + 2 + Key(0).size() + 2;
+  Transaction* txn = engine_->Begin();
+  for (int i = 0;; ++i) {
+    {
+      ASSERT_OK_AND_ASSIGN(ReadPageGuard g,
+                           engine_->pool()->FetchRead(tree->root()));
+      BTreePage leaf(const_cast<char*>(g.data()), page_size);
+      ASSERT_TRUE(leaf.is_leaf());
+      if ((page_size - leaf.LogicalFreeBytes()) + entry >
+          BTreeTestPeer::SoftCapacity(tree)) {
+        break;
+      }
+    }
+    ASSERT_OK(tree->Insert(txn, Key(i), Rid(PageId(i + 1), 0)).status());
+  }
+  ASSERT_OK(engine_->Commit(txn));
+
+  const Rid first_rid(1, 0);
+  {
+    std::vector<WritePageGuard> path;
+    ASSERT_OK(BTreeTestPeer::DescendIb(tree, Key(0), first_rid, &path));
+    ASSERT_EQ(path.size(), 1u);  // the root is the full leaf
+    ASSERT_OK(BTreeTestPeer::MakeRoomIb(tree, &path, Key(0), first_rid));
+  }
+  ExpectStructurallySound(tree);
+  TreeVerifier tv(tree, engine_->pool());
+  ASSERT_OK_AND_ASSIGN(TreeCheckReport report, tv.Check());
+  // One split: a new root over two leaves.
+  EXPECT_LE(report.leaf_pages + report.internal_pages, 3u);
+}
+
+TEST_F(BTreeTest, ScanAllReadAheadCountsAreExact) {
+  BTree* tree = NewTree();
+  Transaction* txn = engine_->Begin();
+  constexpr int kKeys = 30000;
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_OK(tree->Insert(txn, Key(i), Rid(PageId(i + 1), 0)).status());
+  }
+  ASSERT_OK(engine_->Commit(txn));
+  TreeVerifier tv(tree, engine_->pool());
+  ASSERT_OK_AND_ASSIGN(TreeCheckReport report, tv.Check());
+  ASSERT_TRUE(report.ok) << report.error;
+  BufferPool* pool = engine_->pool();
+  ASSERT_GT(report.leaf_pages, BufferPool::kMaxReadAhead);
+
+  // Cold pool, on a device whose reads block: read-ahead is on.
+  ASSERT_OK(pool->FlushAll());
+  pool->DiscardAll();
+  auto* disk = static_cast<InMemoryDisk*>(engine_->disk());
+  disk->set_read_delay_us(1);
+  const uint64_t issued0 = pool->prefetch_issued();
+  const uint64_t used0 = pool->prefetch_used();
+  const uint64_t wasted0 = pool->prefetch_wasted();
+  uint64_t entries = 0;
+  ASSERT_OK(tree->ScanAll(
+      [&](std::string_view, const Rid&, uint8_t) { ++entries; }));
+  disk->set_read_delay_us(0);
+
+  EXPECT_EQ(entries, uint64_t(kKeys));
+  // Every leaf is hinted once, ahead of the walk, and fetched before the
+  // 2048-page pool could evict it.
+  EXPECT_EQ(pool->prefetch_issued() - issued0, report.leaf_pages);
+  EXPECT_EQ(pool->prefetch_used() - used0, report.leaf_pages);
+  EXPECT_EQ(pool->prefetch_wasted() - wasted0, 0u);
 }
 
 }  // namespace

@@ -279,7 +279,7 @@ TEST(SyncTest, RankNamesCoverEveryRank) {
                      LockRank::kSideFileCount, LockRank::kLockTable,
                      LockRank::kWalFlush, LockRank::kWalDrain,
                      LockRank::kRunStore, LockRank::kMergeQueue,
-                     LockRank::kDisk, LockRank::kFailPoint,
+                     LockRank::kBufferIo, LockRank::kDisk, LockRank::kFailPoint,
                      LockRank::kObs}) {
     EXPECT_STRNE(LockRankName(r), "?") << static_cast<int>(r);
   }

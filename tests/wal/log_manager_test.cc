@@ -133,6 +133,42 @@ TEST(LogManagerTest, ScanFromLsn) {
   EXPECT_EQ(seen, (std::vector<std::string>{"2", "3", "4"}));
 }
 
+TEST(LogManagerTest, ScanFromMidLogMatchesFullScanSuffix) {
+  // Records of varied sizes; the last few stay unflushed.
+  LogManager log;
+  Random rng(7);
+  std::vector<Lsn> lsns;
+  for (int i = 0; i < 200; ++i) {
+    LogRecord rec = MakeRec(TxnId(1 + i % 5), LogRecordType::kUpdate,
+                            std::string(rng.Uniform(300), char('a' + i % 26)));
+    rec.undo = std::to_string(i);
+    rec.page_id = PageId(i);
+    ASSERT_TRUE(log.Append(&rec).ok());
+    lsns.push_back(rec.lsn);
+    if (i == 189) {
+      ASSERT_TRUE(log.FlushAll().ok());
+    }
+  }
+  auto scan = [&](Lsn from) {
+    std::vector<std::string> out;
+    EXPECT_TRUE(log.ScanDurable(from, [&](const LogRecord& rec) {
+      out.push_back(rec.ToString() + "|" + rec.redo + "|" + rec.undo);
+      return true;
+    }).ok());
+    return out;
+  };
+  std::vector<std::string> full = scan(kInvalidLsn);
+  ASSERT_EQ(full.size(), 190u);  // the durable prefix only
+  for (size_t from : {size_t(1), size_t(97), size_t(189)}) {
+    std::vector<std::string> tail = scan(lsns[from]);
+    EXPECT_EQ(tail, std::vector<std::string>(full.begin() + from, full.end()))
+        << "from record " << from;
+  }
+  // Starting at or past the durable end yields nothing.
+  EXPECT_TRUE(scan(lsns[190]).empty());
+  EXPECT_TRUE(scan(lsns[199]).empty());
+}
+
 TEST(LogManagerTest, FlushIsIdempotentForDurableLsn) {
   LogManager log;
   LogRecord a = MakeRec(1, LogRecordType::kUpdate);

@@ -143,5 +143,76 @@ TEST_F(RecoveryTest, LatePagesRedoneFromLog) {
   EXPECT_EQ(fields[0], "zzzz");
 }
 
+// Builds the same world, deterministically, in a fresh in-memory Env and
+// crashes it: committed inserts into an indexed table, plus a loser
+// transaction whose deletes reached the log.  The pool is far smaller than
+// the pages redo touches, so read-ahead evicts.
+std::unique_ptr<Env> CrashedWorld(const Options& options) {
+  auto env = Env::InMemory(options);
+  auto engine = Engine::Open(options, env.get());
+  EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+  if (!engine.ok()) return env;
+  Engine* e = engine->get();
+  auto table = e->catalog()->CreateTable("t");
+  EXPECT_TRUE(table.ok());
+  auto desc = e->catalog()->CreateIndex("idx", *table, false, {0},
+                                        BuildAlgo::kOffline);
+  EXPECT_TRUE(desc.ok());
+  std::vector<Rid> rids;
+  for (int batch = 0; batch < 6; ++batch) {
+    Transaction* txn = e->Begin();
+    for (int i = 0; i < 500; ++i) {
+      char key[16];
+      snprintf(key, sizeof(key), "%08d", ((batch * 500 + i) * 7919) % 100000);
+      auto rid = e->records()->InsertRecord(
+          txn, *table, Schema::EncodeRecord({key, std::string(40, 'p')}));
+      EXPECT_TRUE(rid.ok());
+      if (!rid.ok()) return env;
+      rids.push_back(*rid);
+    }
+    EXPECT_TRUE(e->Commit(txn).ok());
+  }
+  Transaction* loser = e->Begin();
+  for (size_t i = 0; i < rids.size(); i += 7) {
+    EXPECT_TRUE(e->records()->DeleteRecord(loser, *table, rids[i]).ok());
+  }
+  EXPECT_TRUE(e->log()->FlushAll().ok());
+  EXPECT_TRUE(e->SimulateCrash().ok());
+  return env;
+}
+
+TEST(RecoveryReadAheadTest, RestartWithAndWithoutReadAheadIsByteIdentical) {
+  Options options;
+  options.buffer_pool_pages = 64;  // read-ahead window 8
+  options.buffer_pool_shards = 4;  // the same frames per shard on any host
+  std::unique_ptr<Env> envs[2] = {CrashedWorld(options),
+                                  CrashedWorld(options)};
+  RecoveryStats stats[2];
+  for (int i = 0; i < 2; ++i) {
+    auto* disk = static_cast<InMemoryDisk*>(envs[i]->disk.get());
+    disk->set_read_delay_us(i == 0 ? 1 : 0);  // world 0 reads ahead
+    auto engine = Engine::Restart(options, envs[i].get(), &stats[i]);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    EXPECT_EQ((*engine)->pool()->ReadAheadWindow(), i == 0 ? 8u : 0u);
+    if (i == 0) {
+      EXPECT_GT((*engine)->pool()->prefetch_issued(), 0u);
+    }
+    ASSERT_OK((*engine)->FlushAll());
+    disk->set_read_delay_us(0);
+  }
+  EXPECT_EQ(stats[0].records_redone, stats[1].records_redone);
+  EXPECT_EQ(stats[0].loser_txns, 1u);
+  EXPECT_EQ(envs[0]->log.next_lsn(), envs[1]->log.next_lsn());
+  DiskManager* a = envs[0]->disk.get();
+  DiskManager* b = envs[1]->disk.get();
+  ASSERT_EQ(a->PageCount(), b->PageCount());
+  std::string pa(a->page_size(), '\0'), pb(b->page_size(), '\0');
+  for (PageId id = 0; id < a->PageCount(); ++id) {
+    ASSERT_OK(a->ReadPage(id, pa.data()));
+    ASSERT_OK(b->ReadPage(id, pb.data()));
+    ASSERT_EQ(pa, pb) << "page " << id;
+  }
+}
+
 }  // namespace
 }  // namespace oib
