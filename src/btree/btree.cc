@@ -1013,16 +1013,12 @@ Status BTree::LeafIdsFromParents(std::vector<PageId>* out) const {
 
 Status BTree::ScanAll(const std::function<void(std::string_view, const Rid&,
                                                uint8_t)>& fn) const {
-  const size_t window = pool_->ReadAheadWindow();
   std::vector<PageId> leaves;
-  if (window > 0) OIB_RETURN_IF_ERROR(LeafIdsFromParents(&leaves));
-  size_t visited = 0, hinted = 0;
-  auto read_ahead = [&] {
-    for (; hinted < leaves.size() && hinted < visited + window; ++hinted) {
-      pool_->Prefetch(leaves[hinted]);
-    }
-  };
-  read_ahead();
+  if (pool_->ReadAheadWindow() > 0) {
+    OIB_RETURN_IF_ERROR(LeafIdsFromParents(&leaves));
+  }
+  size_t visited = 0, hinted = 0;  // leaves[visited] is fetched next
+  pool_->ReadAhead(leaves, visited, &hinted);
   ReadPageGuard leaf;
   OIB_RETURN_IF_ERROR(DescendToLeafRead("", Rid::MinusInfinity(), &leaf));
   for (;;) {
@@ -1032,8 +1028,7 @@ Status BTree::ScanAll(const std::function<void(std::string_view, const Rid&,
     }
     PageId next = page.next();
     if (next == kInvalidPageId) return Status::OK();
-    ++visited;
-    read_ahead();
+    pool_->ReadAhead(leaves, ++visited, &hinted);
     auto ng = pool_->FetchRead(next);
     if (!ng.ok()) return ng.status();
     leaf = std::move(*ng);

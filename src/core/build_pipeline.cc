@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
+#include <span>
 #include <string>
 #include <thread>
 
@@ -75,7 +76,9 @@ StatusOr<ScanPlan> PlanPartitionedScan(const HeapFile* heap, PageId stop_page,
   if (!pages.ok()) return pages.status();
   ScanPlan plan;
   plan.stop_page = stop_page;
-  const size_t n = pages->size();
+  plan.chain = std::move(*pages);
+  const std::vector<PageId>& chain = plan.chain;
+  const size_t n = chain.size();
   if (n == 0) {
     ScanPartition part;
     part.next = heap->first_page();
@@ -85,9 +88,8 @@ StatusOr<ScanPlan> PlanPartitionedScan(const HeapFile* heap, PageId stop_page,
   const size_t count = std::max<size_t>(1, std::min(threads, n));
   for (size_t k = 0; k < count; ++k) {
     ScanPartition part;
-    part.next = (*pages)[n * k / count];
-    part.bound =
-        (k + 1 < count) ? (*pages)[n * (k + 1) / count] : kInvalidPageId;
+    part.next = chain[n * k / count];
+    part.bound = (k + 1 < count) ? chain[n * (k + 1) / count] : kInvalidPageId;
     plan.parts.push_back(std::move(part));
   }
   return plan;
@@ -125,17 +127,16 @@ Status BuildPipeline::RunScan(const HeapFile* heap, obs::Tracer* tracer,
   std::vector<double> busy(parts, 0.0);
   // Only the single unbounded (final) partition's worker writes this.
   PageId tail_last = kInvalidPageId;
-  // Read-ahead: each worker hints up to `window` pages ahead along its
-  // slice of the chain as planned.  The scan itself follows the live
-  // chain; hinting stops where the two part (pages appended since).
+  // Read-ahead: each worker hints ahead along its slice of the chain as
+  // planned.  The scan itself follows the live chain; hinting stops where
+  // the two part (pages appended since).
   BufferPool* pool = heap->pool();
-  const size_t window = pool->ReadAheadWindow();
-  std::vector<PageId> chain;
-  if (window > 0) {
+  if (pool->ReadAheadWindow() > 0 && plan->chain.empty()) {
     auto pages = heap->ChainPages(plan->stop_page);
     if (!pages.ok()) return pages.status();
-    chain = std::move(*pages);
+    plan->chain = std::move(*pages);
   }
+  const std::vector<PageId>& chain = plan->chain;
 
   auto work = [&](size_t k) -> Status {
     const char* span_name = "build.scan";
@@ -151,14 +152,13 @@ Status BuildPipeline::RunScan(const HeapFile* heap, obs::Tracer* tracer,
       bound = plan->parts[k].bound;
     }
     const PageId stop_page = plan->stop_page;  // never mutated
-    // chain[at] is the page being scanned; chain[.., hinted) were hinted;
-    // chain[end] is where the partition stops.
-    size_t at = std::find(chain.begin(), chain.end(), next) - chain.begin();
-    const size_t end =
-        bound == kInvalidPageId
-            ? chain.size()
-            : std::find(chain.begin(), chain.end(), bound) - chain.begin();
-    size_t hinted = at + 1;
+    // This partition's slice of the planned chain; slice[at] is the page
+    // scanned next and slice[0, hinted) were hinted.
+    const auto from = std::find(chain.begin(), chain.end(), next);
+    const std::span<const PageId> slice(
+        from, bound == kInvalidPageId ? chain.end()
+                                      : std::find(from, chain.end(), bound));
+    size_t at = 0, hinted = 0;
     uint64_t keys_since_ckpt = 0;
     std::vector<std::pair<Rid, std::string>> recs;
     std::string key_buf;  // normalized-key scratch, reused per record
@@ -171,13 +171,10 @@ Status BuildPipeline::RunScan(const HeapFile* heap, obs::Tracer* tracer,
       }
       recs.clear();
       const PageId page = next;
-      if (at < end && chain[at] == page) {
-        for (; hinted < end && hinted <= at + window; ++hinted) {
-          pool->Prefetch(chain[hinted]);
-        }
-        ++at;
+      if (at < slice.size() && slice[at] == page) {
+        pool->ReadAhead(slice, at++, &hinted);
       } else {
-        at = end;  // off the planned chain: no more hints
+        at = slice.size();  // off the planned chain: no more hints
       }
       auto got = heap->ExtractPage(
           page, &recs,

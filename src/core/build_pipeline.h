@@ -57,6 +57,10 @@ struct ScanPlan {
   // kInvalidPageId means "follow the chain to its current end" (SF).
   PageId stop_page = kInvalidPageId;
   std::vector<ScanPartition> parts;
+  // The chain as planned, in scan order: RunScan's read-ahead input.  Not
+  // encoded, so a plan decoded on resume has it empty and RunScan walks
+  // the chain again when it reads ahead.
+  std::vector<PageId> chain;
 };
 
 std::string EncodeScanPlan(const ScanPlan& plan);

@@ -321,6 +321,13 @@ size_t BufferPool::ReadAheadWindow() const {
   return std::min(kMaxReadAhead, pool_pages_ / 8);
 }
 
+void BufferPool::ReadAhead(std::span<const PageId> ids, size_t next,
+                           size_t* hinted) {
+  const size_t to = std::min(ids.size(), next + ReadAheadWindow());
+  for (size_t i = std::max(*hinted, next); i < to; ++i) Prefetch(ids[i]);
+  *hinted = std::max(*hinted, to);
+}
+
 void BufferPool::SubmitRead(PageId page_id, Page* page) {
   {
     sync::MutexLock g(&io_mu_);

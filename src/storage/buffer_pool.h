@@ -32,6 +32,7 @@
 #include <pthread.h>
 
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -159,6 +160,12 @@ class BufferPool {
   // min(kMaxReadAhead, pool pages / 8), or 0 (no read-ahead) when the
   // disk's reads cannot block.
   size_t ReadAheadWindow() const;
+
+  // Read-ahead along a list of page ids that a reader walks in order:
+  // hints ids[next, next + ReadAheadWindow()), where ids[next] is the page
+  // the reader fetches next, skipping ids[0, *hinted) (hinted before), and
+  // advances *hinted past the last id hinted.
+  void ReadAhead(std::span<const PageId> ids, size_t next, size_t* hinted);
 
   DiskManager* disk() { return disk_; }
 

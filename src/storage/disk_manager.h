@@ -73,10 +73,12 @@ class DiskManager {
 
   virtual size_t page_size() const = 0;
 
-  // Whether a page read can keep the calling thread waiting on the device.
+  // Whether a page read can keep the calling thread waiting on the device,
+  // so that reads issued together finish sooner than one after another.
   // The buffer pool reads ahead only on such a device: where a read is a
-  // memcpy, handing it to another thread costs more than doing it.
-  virtual bool reads_can_block() const { return true; }
+  // memcpy, or reads cannot overlap, handing it to another thread costs
+  // more than doing it.  Off unless a device says so.
+  virtual bool reads_can_block() const { return false; }
 
   // I/O counters (benches report these as proxies for disk cost).
   virtual uint64_t reads() const = 0;
@@ -153,6 +155,9 @@ class FileDisk : public DiskManager {
   Status GetMeta(const std::string& key, std::string* value) override;
   Status Sync() override;
   size_t page_size() const override { return page_size_; }
+  // reads_can_block() stays false: ReadPage holds mu_ across the pread, so
+  // hinted reads would only queue on it, and a read the OS page cache
+  // serves costs about a memcpy.
   uint64_t reads() const override;
   uint64_t writes() const override;
 

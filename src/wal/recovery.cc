@@ -63,7 +63,7 @@ Status RecoveryManager::AnalyzeAndRedo(
   // because every redo is guarded by a page-LSN comparison inside the RM).
   // With read-ahead, redo trails the scan by `window` records whose pages
   // were hinted on arrival; redo order is still log order.
-  const size_t window = pool_ != nullptr ? pool_->ReadAheadWindow() : 0;
+  const size_t window = pool_->ReadAheadWindow();
   std::deque<LogRecord> behind;
   auto redo = [&](const LogRecord& rec) -> Status {
     ResourceManager* rm = rms_->Get(rec.rm_id);

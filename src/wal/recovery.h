@@ -56,9 +56,9 @@ Status DecodeCheckpointPayload(const std::string& payload,
 
 class RecoveryManager {
  public:
-  // `pool` (optional) is the pool redo fetches through; it is only hinted.
+  // `pool` is the pool redo fetches through; recovery only hints it.
   RecoveryManager(LogManager* log, TransactionManager* txns, RmRegistry* rms,
-                  BufferPool* pool = nullptr)
+                  BufferPool* pool)
       : log_(log), txns_(txns), rms_(rms), pool_(pool) {}
 
   // Phase 1+2: analysis and redo in one forward pass.  `checkpoint_lsn` is

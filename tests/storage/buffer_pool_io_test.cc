@@ -61,6 +61,7 @@ class GateDisk : public DiskManager {
     return inner_.GetMeta(k, v);
   }
   size_t page_size() const override { return kPageSize; }
+  bool reads_can_block() const override { return true; }
   uint64_t reads() const override { return inner_.reads(); }
   uint64_t writes() const override { return inner_.writes(); }
 

@@ -82,6 +82,14 @@ TEST_F(FileDiskTest, NoReuseAllocationIsMonotone) {
   EXPECT_GT(*c, *b);
 }
 
+// ReadPage serializes on the disk mutex, so a read-ahead hint could not
+// overlap another read: the buffer pool must not read ahead on FileDisk.
+TEST_F(FileDiskTest, ReportsReadsThatCannotBlock) {
+  auto disk = FileDisk::Open(path_.string(), 4096);
+  ASSERT_TRUE(disk.ok());
+  EXPECT_FALSE((*disk)->reads_can_block());
+}
+
 TEST_F(FileDiskTest, OutOfRangeAccessRejected) {
   auto disk = FileDisk::Open(path_.string(), 4096);
   ASSERT_TRUE(disk.ok());
